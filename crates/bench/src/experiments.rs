@@ -978,8 +978,8 @@ mod tests {
     #[test]
     fn fleet_autoscale_report_contains_the_scale_out_contrast() {
         let rows = fleet_autoscale();
-        // All 18 sweep cells render, plus the headline line.
-        assert!(rows.len() >= 3 + 18 + 2, "{} rows", rows.len());
+        // All 12 sweep cells render, plus the headline line.
+        assert!(rows.len() >= 3 + 12 + 2, "{} rows", rows.len());
         // Text unique to the Some branch of the headline, so a sweep that
         // loses the contrast cell fails here instead of matching the
         // "no scale-out contrast" fallback.

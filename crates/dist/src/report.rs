@@ -735,9 +735,8 @@ impl FleetAutoscaleReport {
         let requests = trace.generate();
         let slos = [400.0f64, 1_500.0];
         let policies = [
-            DispatchPolicy::least_outstanding(),
+            DispatchPolicy::LeastOutstandingTokens,
             DispatchPolicy::RoundRobin,
-            DispatchPolicy::LeastOutstandingTokensFrozen,
         ];
         let mut cells = Vec::new();
         for fleet in FleetKind::all() {
@@ -783,10 +782,7 @@ impl FleetAutoscaleReport {
         let cell = |kind: FleetKind| {
             self.entries
                 .iter()
-                .filter(|e| {
-                    e.fleet == kind
-                        && matches!(e.policy, DispatchPolicy::LeastOutstandingTokens { .. })
-                })
+                .filter(|e| e.fleet == kind && e.policy == DispatchPolicy::LeastOutstandingTokens)
                 .min_by(|a, b| a.slo_ms.partial_cmp(&b.slo_ms).expect("finite SLOs"))
                 .map(|e| e.metrics.scale_outs())
         };
@@ -859,7 +855,7 @@ impl FleetTraceReport {
         let requests = FleetAutoscaleReport::demo_trace().generate();
         let config = FleetConfig {
             scheduler: *scfg,
-            policy: DispatchPolicy::least_outstanding(),
+            policy: DispatchPolicy::LeastOutstandingTokens,
             tick_ms: 200.0,
             window_ms: 1_000.0,
             warmup_ms: 1_500.0,
@@ -1090,7 +1086,7 @@ impl FaultSweepReport {
         for (name, policy) in policies {
             let config = FleetConfig {
                 scheduler: *scfg,
-                policy: DispatchPolicy::least_outstanding(),
+                policy: DispatchPolicy::LeastOutstandingTokens,
                 tick_ms: 200.0,
                 window_ms: 1_000.0,
                 warmup_ms: 1_500.0,
@@ -1678,8 +1674,8 @@ mod tests {
     #[test]
     fn autoscale_sweep_shows_samoyeds_absorbing_the_spike_with_fewer_scale_outs() {
         let report = autoscale_fixture();
-        // 3 fleets x 3 policies x 2 SLOs.
-        assert_eq!(report.entries.len(), 18);
+        // 3 fleets x 2 policies x 2 SLOs.
+        assert_eq!(report.entries.len(), 12);
         // Every cell conserves the trace.
         for e in &report.entries {
             assert_eq!(
@@ -1700,7 +1696,7 @@ mod tests {
             "samoyeds {samoyeds} scale-outs vs dense {dense}"
         );
         let rows = report.render_markdown();
-        assert!(rows.len() >= 3 + 18);
+        assert!(rows.len() >= 3 + 12);
         assert!(rows.iter().any(|r| r.contains("A100 pod + 4070S")));
     }
 
@@ -1715,7 +1711,7 @@ mod tests {
                     // simlint::allow(float-eq): selects the sweep cell built
                     // from this exact literal — no arithmetic in between
                     && e.slo_ms == 400.0
-                    && matches!(e.policy, DispatchPolicy::LeastOutstandingTokens { .. })
+                    && e.policy == DispatchPolicy::LeastOutstandingTokens
             })
             .expect("mixed cell exists");
         let m = &mixed.metrics;

@@ -33,9 +33,6 @@ fn fleet_sweeps_match_the_golden_digests() {
     let mut table = String::new();
     let autoscale = FleetAutoscaleReport::sweep(&model, &FleetAutoscaleReport::demo_trace(), &scfg);
     for e in &autoscale.entries {
-        if e.policy.name() == "least-outstanding (frozen)" {
-            continue;
-        }
         table += &format!(
             "autoscale/{}/{}/{} {}\n",
             e.fleet.name(),

@@ -1,9 +1,7 @@
 //! The online fleet control plane: heterogeneous replicas, capability-aware
 //! dispatch and SLO-driven autoscaling behind one API.
 //!
-//! Where [`dispatch`](crate::dispatch) splits a trace *ahead of time* across
-//! a fixed count of identical replicas, the [`FleetController`] here is an
-//! *online* control plane:
+//! The [`FleetController`] here is an *online* control plane:
 //!
 //! * **Heterogeneous replicas** — the fleet is a set of
 //!   `Box<dyn ExecutionBackend>` replicas, so an expert-parallel A100 pod
@@ -15,8 +13,7 @@
 //!   ([`ExecutionBackend::supports`]), admission headroom
 //!   ([`MemoryBudget`](crate::backend::MemoryBudget) via
 //!   [`ReplicaDriver::can_ever_admit`]) and outstanding work (which decays
-//!   as replicas make progress — the fix for the frozen accumulate-forever
-//!   counter).
+//!   as replicas make progress), under a [`DispatchPolicy`].
 //! * **SLO-driven autoscaling** — a pluggable [`AutoscalePolicy`] is
 //!   consulted every control tick: scale out on p95-TTFT SLO breach (new
 //!   replicas charged a warm-up delay before they take traffic), scale in on
@@ -45,13 +42,13 @@
 
 use crate::backend::{ExecutionBackend, StepWorkload};
 use crate::batch::StepBatch;
-use crate::dispatch::DispatchPolicy;
+use crate::dispatch::{pick_replica, DispatchPolicy};
 use crate::events::{EventQueue, FleetEvent};
 use crate::faults::{FaultKind, FaultRecord, FaultSchedule, FaultSpec, RecoveryPolicy};
 use crate::memory::MemoryModel;
 use crate::metrics::{latency_summary, LatencySummary, ServingMetrics};
 use crate::request::{CompletedRequest, Request, RunningRequest};
-use crate::scheduler::{ReplicaDriver, SchedulerConfig, SimulationResult};
+use crate::scheduler::{ReplicaDriver, SchedulerConfig};
 use crate::telemetry::{SharedSink, TraceEvent};
 use crate::validate::{Diagnostic, ValidationReport};
 use samoyeds_moe::engines::EngineKind;
@@ -92,7 +89,7 @@ impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             scheduler: SchedulerConfig::default(),
-            policy: DispatchPolicy::least_outstanding(),
+            policy: DispatchPolicy::LeastOutstandingTokens,
             tick_ms: 200.0,
             window_ms: 1_000.0,
             warmup_ms: 2_000.0,
@@ -326,16 +323,14 @@ pub struct ReplicaBreakdown {
     pub metrics: ServingMetrics,
 }
 
-/// Aggregate metrics of a fleet run — static
-/// ([`ReplicaFleet::metrics`](crate::dispatch::ReplicaFleet::metrics)) or
-/// online ([`FleetController::run`]), behind the same type.
+/// Aggregate metrics of a [`FleetController::run`].
 #[derive(Debug, Clone)]
 pub struct FleetMetrics {
     /// The first replica's engine (fleets may be heterogeneous; see
     /// [`Self::per_replica`] for the full picture).
     pub engine: EngineKind,
-    /// Peak commissioned replicas over the run (the fixed count for static
-    /// fleets).
+    /// Peak commissioned replicas over the run (the initial count when the
+    /// fleet never scales).
     pub replicas: usize,
     /// Completed requests across the fleet.
     pub completed: usize,
@@ -354,7 +349,7 @@ pub struct FleetMetrics {
     pub makespan_ms: f64,
     /// Per-replica breakdowns, in commission order.
     pub per_replica: Vec<ReplicaBreakdown>,
-    /// The scaling timeline (empty for static fleets).
+    /// The scaling timeline (empty when the fleet never scales).
     pub scale_events: Vec<ScaleEvent>,
     /// Ids of requests no replica could ever admit.
     pub unroutable_ids: Vec<u64>,
@@ -495,9 +490,6 @@ struct Slot {
     /// can overlap): the dispatcher routes nothing here while it is > 0.
     degraded: u32,
     assigned_ids: Vec<u64>,
-    /// Cumulative assigned tokens — the frozen dispatch counter, kept so the
-    /// pre-redesign policy stays reachable online too.
-    assigned_tokens: usize,
 }
 
 impl Slot {
@@ -520,7 +512,6 @@ impl Slot {
             crashed: false,
             degraded: 0,
             assigned_ids: Vec::new(),
-            assigned_tokens: 0,
         }
     }
 
@@ -1628,12 +1619,9 @@ impl FleetController {
                                         .map(|(i, _)| i),
                                 ),
                             }
-                            match pick_replica(
-                                self.config.policy,
-                                &eligible,
-                                &slots,
-                                &mut rr_cursor,
-                            ) {
+                            match pick_replica(self.config.policy, &eligible, &mut rr_cursor, |i| {
+                                slots[i].driver.outstanding_tokens()
+                            }) {
                                 Some(target) => {
                                     if let Some(sink) = &self.sink {
                                         sink.emit(TraceEvent::Routed {
@@ -1644,7 +1632,6 @@ impl FleetController {
                                     }
                                     slots[target].driver.enqueue(moved);
                                     slots[target].assigned_ids.push(moved.id);
-                                    slots[target].assigned_tokens += moved.total_tokens();
                                     if let Some(d) = disagg.as_mut() {
                                         d.arm_chain(&mut queue, &slots, target, at);
                                     }
@@ -1794,7 +1781,9 @@ impl FleetController {
                             slots[i].routable() && slots[i].driver.can_ever_admit(&sub)
                         }));
                         let picked =
-                            pick_replica(self.config.policy, &eligible, &slots, &mut rr_cursor);
+                            pick_replica(self.config.policy, &eligible, &mut rr_cursor, |i| {
+                                slots[i].driver.outstanding_tokens()
+                            });
                         match picked {
                             Some(target) => {
                                 if let Some(sink) = &self.sink {
@@ -1809,7 +1798,6 @@ impl FleetController {
                                 }
                                 slots[target].driver.enqueue(sub);
                                 slots[target].assigned_ids.push(request.id);
-                                slots[target].assigned_tokens += request.total_tokens();
                                 d.arm_chain(&mut queue, &slots, target, request.arrival_ms);
                             }
                             None => {
@@ -1841,7 +1829,9 @@ impl FleetController {
                                 .map(|(i, _)| i),
                         );
                         let picked =
-                            pick_replica(self.config.policy, &eligible, &slots, &mut rr_cursor);
+                            pick_replica(self.config.policy, &eligible, &mut rr_cursor, |i| {
+                                slots[i].driver.outstanding_tokens()
+                            });
                         match picked {
                             Some(target) => {
                                 if let Some(sink) = &self.sink {
@@ -1853,7 +1843,6 @@ impl FleetController {
                                 }
                                 slots[target].driver.enqueue(*request);
                                 slots[target].assigned_ids.push(request.id);
-                                slots[target].assigned_tokens += request.total_tokens();
                             }
                             None => {
                                 if let Some(sink) = &self.sink {
@@ -1920,7 +1909,6 @@ impl FleetController {
                         }
                         slots[to].driver.enqueue_handoff(remainder);
                         slots[to].assigned_ids.push(id);
-                        slots[to].assigned_tokens += remainder.total_tokens();
                         d.arm_chain(&mut queue, &slots, to, at);
                     } else if self.recovery.readmit {
                         // The decode pod died (or went unroutable) while the
@@ -2007,33 +1995,6 @@ impl FleetController {
             drain_incomplete_replicas,
             ledger,
         )
-    }
-}
-
-/// Apply the dispatch policy to the eligible set — shared between fresh
-/// arrivals and post-crash re-admissions so the two can never drift.
-fn pick_replica(
-    policy: DispatchPolicy,
-    eligible: &[usize],
-    slots: &[Slot],
-    rr_cursor: &mut usize,
-) -> Option<usize> {
-    match policy {
-        DispatchPolicy::RoundRobin => {
-            let picked = eligible
-                .get(rr_cursor.checked_rem(eligible.len()).unwrap_or(0))
-                .copied();
-            *rr_cursor = rr_cursor.wrapping_add(1);
-            picked
-        }
-        DispatchPolicy::LeastOutstandingTokens { .. } => eligible
-            .iter()
-            .min_by_key(|&&i| slots[i].driver.outstanding_tokens())
-            .copied(),
-        DispatchPolicy::LeastOutstandingTokensFrozen => eligible
-            .iter()
-            .min_by_key(|&&i| slots[i].assigned_tokens)
-            .copied(),
     }
 }
 
@@ -2291,8 +2252,25 @@ fn describe_observation(obs: &FleetObservation) -> String {
     )
 }
 
-/// Fold the finished slots, timeline, unroutable set and fault ledger into
-/// fleet metrics.
+/// What [`finalize`] needs to stitch split requests back together: the
+/// original request behind every split id, and which slots were decode pods
+/// (a split id counts as completed exactly when its remainder finished on
+/// one of them).
+struct DisaggLedger {
+    originals: BTreeMap<u64, Request>,
+    decode: Vec<usize>,
+}
+
+/// Pool the finished slots, timeline, unroutable set and fault ledger into
+/// fleet metrics. Raw figures — output tokens, makespan, rejections,
+/// per-replica breakdowns — sum over the slots. The pooled latency
+/// distributions take every completion as it stands, except that a
+/// disaggregated run stitches each split request's prefill half (arrival,
+/// admission, first token) to its decode half (completion), so a handoff
+/// counts once, end to end, rather than as two short requests. A split id
+/// with no decode-pod completion never finished (it died in a crash or a
+/// failed handoff) and is excluded — it is already on the failed ledger.
+/// A co-located run has no ledger, so nothing is split.
 #[allow(clippy::too_many_arguments)]
 fn finalize(
     slots: Vec<Slot>,
@@ -2305,155 +2283,11 @@ fn finalize(
     drain_incomplete_replicas: Vec<usize>,
     ledger: Option<DisaggLedger>,
 ) -> FleetMetrics {
-    let records: Vec<ReplicaRecord> = slots
-        .into_iter()
-        .map(|slot| {
-            let Slot {
-                driver,
-                description,
-                spawned_ms,
-                ready_ms,
-                retired_ms,
-                assigned_ids,
-                ..
-            } = slot;
-            ReplicaRecord {
-                description,
-                spawned_ms,
-                ready_ms,
-                retired_ms,
-                assigned_ids,
-                result: driver.finish(),
-            }
-        })
-        .collect();
-    let mut metrics = match ledger {
-        Some(ledger) => aggregate_disaggregated(
-            peak_replicas,
-            records,
-            scale_events,
-            unroutable_ids,
-            drain_incomplete,
-            &ledger,
-        ),
-        None => aggregate(
-            peak_replicas,
-            records,
-            scale_events,
-            unroutable_ids,
-            drain_incomplete,
-        ),
+    let (originals, decode_pods) = match ledger {
+        Some(ledger) => (ledger.originals, ledger.decode.into_iter().collect()),
+        None => (BTreeMap::new(), BTreeSet::new()),
     };
-    metrics.failed_ids = failed_ids;
-    metrics.faults = faults;
-    metrics.drain_incomplete_replicas = drain_incomplete_replicas;
-    metrics
-}
-
-/// What [`aggregate_disaggregated`] needs to stitch split requests back
-/// together: the original request behind every split id, and which slots
-/// were decode pods (a split id counts as completed exactly when its
-/// remainder finished on one of them).
-struct DisaggLedger {
-    originals: BTreeMap<u64, Request>,
-    decode: Vec<usize>,
-}
-
-/// One replica's finished run plus its control-plane bookkeeping — the input
-/// row of [`aggregate`].
-pub(crate) struct ReplicaRecord {
-    pub description: String,
-    pub spawned_ms: f64,
-    pub ready_ms: f64,
-    pub retired_ms: Option<f64>,
-    pub assigned_ids: Vec<u64>,
-    pub result: SimulationResult,
-}
-
-/// Pool per-replica results into fleet metrics — the one aggregation both
-/// the online controller ([`finalize`]) and the static shim
-/// ([`ReplicaFleet::metrics`](crate::dispatch::ReplicaFleet::metrics))
-/// share, so the two front doors can never drift apart.
-pub(crate) fn aggregate(
-    replicas: usize,
-    records: Vec<ReplicaRecord>,
-    scale_events: Vec<ScaleEvent>,
-    unroutable_ids: Vec<u64>,
-    drain_incomplete: bool,
-) -> FleetMetrics {
-    let mut per_replica = Vec::with_capacity(records.len());
-    let mut latencies = Vec::new();
-    let mut ttfts = Vec::new();
-    let mut tpots = Vec::new();
-    let mut completed = 0usize;
-    let mut rejected = unroutable_ids.len();
-    let mut output_tokens = 0usize;
-    let mut makespan_ms = 0.0f64;
-    for record in records {
-        let result = &record.result;
-        completed += result.completed.len();
-        rejected += result.rejected.len();
-        output_tokens += result.output_tokens();
-        makespan_ms = makespan_ms.max(result.makespan_ms);
-        latencies.extend(result.completed.iter().map(|c| c.latency_ms()));
-        ttfts.extend(result.completed.iter().map(|c| c.ttft_ms()));
-        tpots.extend(result.completed.iter().filter_map(|c| c.tpot_ms()));
-        per_replica.push(ReplicaBreakdown {
-            engine: result.engine,
-            metrics: ServingMetrics::from_result(result),
-            description: record.description,
-            spawned_ms: record.spawned_ms,
-            ready_ms: record.ready_ms,
-            retired_ms: record.retired_ms,
-            assigned: record.assigned_ids.len(),
-            assigned_ids: record.assigned_ids,
-        });
-    }
-    FleetMetrics {
-        engine: per_replica
-            .first()
-            .map(|r| r.engine)
-            .unwrap_or(EngineKind::Samoyeds),
-        replicas,
-        completed,
-        rejected,
-        output_tokens_per_s: if makespan_ms > 0.0 {
-            output_tokens as f64 / (makespan_ms / 1e3)
-        } else {
-            0.0
-        },
-        request_latency: latency_summary(&latencies),
-        ttft: latency_summary(&ttfts),
-        tpot: latency_summary(&tpots),
-        makespan_ms,
-        per_replica,
-        scale_events,
-        unroutable_ids,
-        failed_ids: Vec::new(),
-        faults: Vec::new(),
-        drain_incomplete,
-        drain_incomplete_replicas: Vec::new(),
-    }
-}
-
-/// Pool per-replica results of a disaggregated run. Raw figures — output
-/// tokens, makespan, rejections, per-replica breakdowns — sum exactly as in
-/// [`aggregate`]; the pooled latency distributions instead stitch each split
-/// request's prefill half (arrival, admission, first token) to its decode
-/// half (completion) so a handoff counts once, end to end, rather than as
-/// two short requests. A split id with no decode-pod completion never
-/// finished (it died in a crash or a failed handoff) and is excluded — it is
-/// already on the failed ledger.
-fn aggregate_disaggregated(
-    replicas: usize,
-    records: Vec<ReplicaRecord>,
-    scale_events: Vec<ScaleEvent>,
-    unroutable_ids: Vec<u64>,
-    drain_incomplete: bool,
-    ledger: &DisaggLedger,
-) -> FleetMetrics {
-    let decode_pods: BTreeSet<usize> = ledger.decode.iter().copied().collect();
-    let mut per_replica = Vec::with_capacity(records.len());
+    let mut per_replica = Vec::with_capacity(slots.len());
     let mut latencies = Vec::new();
     let mut ttfts = Vec::new();
     let mut tpots = Vec::new();
@@ -2466,18 +2300,18 @@ fn aggregate_disaggregated(
     // the prefill side takes minima; at most one decode completion exists
     // per id.
     let mut halves: BTreeMap<u64, (f64, f64, Option<f64>)> = BTreeMap::new();
-    for (slot, record) in records.into_iter().enumerate() {
-        let result = &record.result;
+    for (index, slot) in slots.into_iter().enumerate() {
+        let result = slot.driver.finish();
         rejected += result.rejected.len();
         output_tokens += result.output_tokens();
         makespan_ms = makespan_ms.max(result.makespan_ms);
         for c in &result.completed {
-            if ledger.originals.contains_key(&c.request.id) {
+            if originals.contains_key(&c.request.id) {
                 let entry =
                     halves
                         .entry(c.request.id)
                         .or_insert((f64::INFINITY, f64::INFINITY, None));
-                if decode_pods.contains(&slot) {
+                if decode_pods.contains(&index) {
                     entry.2 = Some(c.finished_ms);
                 } else {
                     entry.0 = entry.0.min(c.admitted_ms);
@@ -2492,13 +2326,13 @@ fn aggregate_disaggregated(
         }
         per_replica.push(ReplicaBreakdown {
             engine: result.engine,
-            metrics: ServingMetrics::from_result(result),
-            description: record.description,
-            spawned_ms: record.spawned_ms,
-            ready_ms: record.ready_ms,
-            retired_ms: record.retired_ms,
-            assigned: record.assigned_ids.len(),
-            assigned_ids: record.assigned_ids,
+            metrics: ServingMetrics::from_result(&result),
+            description: slot.description,
+            spawned_ms: slot.spawned_ms,
+            ready_ms: slot.ready_ms,
+            retired_ms: slot.retired_ms,
+            assigned: slot.assigned_ids.len(),
+            assigned_ids: slot.assigned_ids,
         });
     }
     // BTreeMap iteration is ordered by id, so the stitched pool is
@@ -2508,7 +2342,7 @@ fn aggregate_disaggregated(
             continue;
         };
         let stitched = CompletedRequest {
-            request: ledger.originals[&id],
+            request: originals[&id],
             admitted_ms,
             first_token_ms,
             finished_ms,
@@ -2523,7 +2357,7 @@ fn aggregate_disaggregated(
             .first()
             .map(|r| r.engine)
             .unwrap_or(EngineKind::Samoyeds),
-        replicas,
+        replicas: peak_replicas,
         completed,
         rejected,
         output_tokens_per_s: if makespan_ms > 0.0 {
@@ -2538,10 +2372,10 @@ fn aggregate_disaggregated(
         per_replica,
         scale_events,
         unroutable_ids,
-        failed_ids: Vec::new(),
-        faults: Vec::new(),
+        failed_ids,
+        faults,
         drain_incomplete,
-        drain_incomplete_replicas: Vec::new(),
+        drain_incomplete_replicas,
     }
 }
 

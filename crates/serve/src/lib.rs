@@ -34,8 +34,8 @@
 //! * [`fleet`] — the online fleet control plane: heterogeneous
 //!   `Box<dyn ExecutionBackend>` replicas behind a capability-aware
 //!   dispatcher, with SLO-driven autoscaling and a scaling timeline;
-//! * [`dispatch`] — the offline (static, identical-replica) dispatch shim
-//!   kept for bit-for-bit compatibility with the pre-control-plane sweeps;
+//! * [`dispatch`] — the [`DispatchPolicy`] the fleet controller routes
+//!   each request by (round-robin or least outstanding tokens);
 //! * [`validate`] — static experiment validation: the [`Diagnostic`] /
 //!   [`ValidationReport`] engine that rejects ill-formed configurations
 //!   (out-of-range fault targets, empty scaling bands, unachievable SLOs)
@@ -75,7 +75,7 @@ pub use backend::{
     ExecutionBackend, MemoryBudget, OverlapModel, SingleGpuBackend, StepCost, StepWorkload,
 };
 pub use batch::BatchLimits;
-pub use dispatch::{dispatch_trace, DispatchPolicy, ReplicaFleet};
+pub use dispatch::DispatchPolicy;
 pub use events::{EventQueue, FleetEvent};
 pub use faults::{FaultKind, FaultRecord, FaultSchedule, FaultSpec, RecoveryPolicy, SeededFaults};
 pub use fleet::{

@@ -380,10 +380,9 @@ impl<B: ExecutionBackend> ReplicaDriver<B> {
 
     /// Tokens of work still owed: queued requests in full plus the
     /// unprefilled/undecoded remainder of every running request. This is the
-    /// *live* load signal — it decays as the replica makes progress, unlike
-    /// the frozen accumulate-forever dispatch counter. O(1): the counter is
-    /// maintained incrementally at enqueue/rejection and per step, never
-    /// recomputed by scanning the queue.
+    /// *live* load signal — it decays as the replica makes progress. O(1):
+    /// the counter is maintained incrementally at enqueue/rejection and per
+    /// step, never recomputed by scanning the queue.
     pub fn outstanding_tokens(&self) -> usize {
         self.outstanding
     }

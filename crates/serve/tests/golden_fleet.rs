@@ -106,9 +106,7 @@ impl Cell {
         let mut cells = Vec::new();
         for policy in [
             DispatchPolicy::RoundRobin,
-            DispatchPolicy::LeastOutstandingTokens {
-                drain_tokens_per_s: 2_000.0,
-            },
+            DispatchPolicy::LeastOutstandingTokens,
         ] {
             for scaling in [Scaling::Fixed, Scaling::Slo] {
                 for faults in [

@@ -22,10 +22,9 @@ fn replica(scfg: &SchedulerConfig) -> Box<dyn ExecutionBackend> {
 }
 
 fn policy(idx: usize) -> DispatchPolicy {
-    match idx % 3 {
-        0 => DispatchPolicy::least_outstanding(),
-        1 => DispatchPolicy::RoundRobin,
-        _ => DispatchPolicy::LeastOutstandingTokensFrozen,
+    match idx % 2 {
+        0 => DispatchPolicy::LeastOutstandingTokens,
+        _ => DispatchPolicy::RoundRobin,
     }
 }
 
@@ -91,7 +90,7 @@ proptest! {
         crashes in proptest::collection::vec((0.0f64..4_000.0, 0usize..6), 0..4),
         readmit in any::<bool>(),
         transfer_ms in 0.0f64..500.0,
-        policy_idx in 0usize..3,
+        policy_idx in 0usize..2,
         seed in any::<u64>(),
     ) {
         let scfg = SchedulerConfig::default();

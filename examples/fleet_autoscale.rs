@@ -21,7 +21,7 @@ fn main() {
     // The headline run in detail: the mixed fleet under a tight SLO.
     let config = FleetConfig {
         scheduler: scfg,
-        policy: DispatchPolicy::least_outstanding(),
+        policy: DispatchPolicy::LeastOutstandingTokens,
         tick_ms: 200.0,
         window_ms: 1_000.0,
         warmup_ms: 1_500.0,
