@@ -12,7 +12,8 @@
 //! for the same traffic:
 //!
 //! * [`link`] — interconnect presets (NVLink / PCIe / InfiniBand) and the
-//!   α-β all-to-all collective cost over per-GPU byte counts;
+//!   α-β all-to-all collective cost over per-GPU byte counts, re-exported
+//!   from `samoyeds-gpu-sim`;
 //! * [`topology`] — [`ClusterTopology`]: GPUs grouped into NVLink/PCIe
 //!   islands stitched by an InfiniBand spine (plus heterogeneous per-pair
 //!   overrides), priced as a two-phase hierarchical all-to-all over exact
@@ -60,7 +61,6 @@
 
 pub mod backend;
 pub mod cluster;
-pub mod link;
 pub mod placement;
 pub mod report;
 pub mod topology;
@@ -68,7 +68,6 @@ pub mod validate;
 
 pub use backend::{ClusterAdmissionBudget, ClusterBackend};
 pub use cluster::{min_gpus_to_fit, ClusterConfig, ClusterSimulator, ClusterStepReport};
-pub use link::LinkSpec;
 pub use placement::{
     replan_after_crash, ClusterEngine, ClusterMemoryModel, ExpertMove, ExpertPlacement,
     PlacementStrategy, RecoveryPlan,
@@ -80,5 +79,6 @@ pub use report::{
     FleetAutoscaleReport, FleetKind, FleetTraceReport, TopologySweepEntry, TopologySweepOutcome,
     TopologySweepReport,
 };
+pub use samoyeds_gpu_sim::link::{self, LinkSpec};
 pub use topology::{ClusterTopology, FlowMatrix, HierarchicalCost, Island, PairOverride};
 pub use validate::validate_fault_schedule;

@@ -22,9 +22,9 @@ use samoyeds_moe::router::TopKRouter;
 use samoyeds_serve::{
     chrome_trace_json, request_timelines, AttributionSummary, BurstyTraceConfig,
     DisaggregationConfig, DispatchPolicy, ExecutionBackend, FaultKind, FaultSchedule, FaultSpec,
-    FleetConfig, FleetController, FleetMetrics, KvLink, MemoryModel, MetricsRegistry,
-    RecoveryPolicy, Request, RequestTimeline, Scheduler, SchedulerConfig, ServingMetrics,
-    SharedSink, SingleGpuBackend, SloAutoscaler, TraceConfig, TraceEvent, TraceRecorder, TraceSink,
+    FleetConfig, FleetController, FleetMetrics, MemoryModel, MetricsRegistry, RecoveryPolicy,
+    Request, RequestTimeline, Scheduler, SchedulerConfig, ServingMetrics, SharedSink,
+    SingleGpuBackend, SloAutoscaler, TraceConfig, TraceEvent, TraceRecorder, TraceSink,
 };
 
 /// One (device, engine, GPU-count) cell of the sweep.
@@ -1270,9 +1270,9 @@ pub struct DisaggSweepOutcome {
 /// prefill:decode split 1:3 / 2:2 / 3:1 under dense, VENOM and Samoyeds
 /// weights. Every KV handoff is priced by the topology the pods actually
 /// sit on: pairs sharing an island ride NVLink 3, pairs split across
-/// islands pay the InfiniBand NDR spine — the same `point_to_point_ms`
-/// formula the placement layer charges for weight transfers, mirrored into
-/// the serve-side [`KvLink`] (pinned by a test in `link`).
+/// islands pay the InfiniBand NDR spine — priced by the same
+/// [`LinkSpec::point_to_point_ms`] the placement layer charges for weight
+/// transfers.
 ///
 /// The dense cells are where the paper's memory story bites: Qwen2-MoE's
 /// bf16 weights do not fit a 12 GiB decode pod, so every dense split
@@ -1301,16 +1301,6 @@ pub struct DisaggSweepReport {
 impl DisaggSweepReport {
     /// Pods in every cell's fleet: GPUs of the 2×2 demo topology.
     const SLOTS: usize = 4;
-
-    /// The serve-side mirror of a dist link: same latency, same bandwidth,
-    /// so [`KvLink::transfer_ms`] and [`LinkSpec::point_to_point_ms`] price
-    /// a handoff identically.
-    fn kv_link(spec: &LinkSpec) -> KvLink {
-        KvLink {
-            latency_us: spec.latency_us,
-            bandwidth_gbps: spec.bandwidth_gbps,
-        }
-    }
 
     /// The serve-level engine a [`ClusterEngine`]'s memory accounting maps
     /// onto (VENOM stores the same compressed weights Samoyeds does).
@@ -1364,16 +1354,16 @@ impl DisaggSweepReport {
                 let decode_ids: Vec<usize> = (prefill..Self::SLOTS).collect();
                 // Slot i sits on GPU i: price each prefill→decode pair by
                 // whether it crosses the island boundary.
-                let links: Vec<Vec<KvLink>> = prefill_ids
+                let links: Vec<Vec<LinkSpec>> = prefill_ids
                     .iter()
                     .map(|&p| {
                         decode_ids
                             .iter()
                             .map(|&d| {
                                 if topology.island_of(p) == topology.island_of(d) {
-                                    Self::kv_link(&LinkSpec::nvlink3())
+                                    LinkSpec::nvlink3()
                                 } else {
-                                    Self::kv_link(&LinkSpec::infiniband_ndr())
+                                    LinkSpec::infiniband_ndr()
                                 }
                             })
                             .collect()

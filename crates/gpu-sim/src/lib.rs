@@ -11,6 +11,9 @@
 //!   platform), RTX 3090, RTX 4090, A100, H100 and MI300, with the
 //!   SM/L2/bandwidth/tensor-core parameters that drive §6.6's portability
 //!   discussion;
+//! * interconnect links ([`link`]) — [`LinkSpec`] presets over the
+//!   device database's fabrics, priced point-to-point and as an α-β
+//!   all-to-all collective;
 //! * occupancy ([`occupancy`]) — warps per SM from register / shared-memory /
 //!   thread limits, plus wave quantisation (tail effect);
 //! * memory hierarchy ([`memory`]) — coalescing efficiency, L2 hit modelling,
@@ -25,11 +28,13 @@
 
 pub mod cost;
 pub mod device;
+pub mod link;
 pub mod memory;
 pub mod occupancy;
 pub mod stats;
 
 pub use cost::{CostModel, KernelProfile};
 pub use device::{DeviceSpec, GpuArch, Interconnect, LinkScope};
+pub use link::LinkSpec;
 pub use occupancy::{LaunchConfig, Occupancy};
 pub use stats::KernelStats;

@@ -1,14 +1,17 @@
-//! Interconnect model: link presets and the all-to-all collective cost.
+//! Interconnect model: link presets, point-to-point transfers and the
+//! all-to-all collective cost.
 //!
 //! Expert-parallel MoE serving pays two all-to-all collectives per MoE layer
 //! (token dispatch to the expert owners, expert outputs back — the GShard
 //! data flow). This module prices those collectives with the classic linear
 //! (α-β) model: a per-peer startup latency plus a bandwidth term bottlenecked
-//! by the busiest endpoint. Presets cover the fabrics of the modeled devices
+//! by the busiest endpoint. The same link prices point-to-point moves: expert
+//! weights re-placed after a crash, and the KV-cache handoff from a prefill
+//! pod to a decode pod. Presets cover the fabrics of the modeled devices
 //! (PCIe through the host for consumer cards, NVLink for the datacenter
 //! parts) plus InfiniBand for cross-node scaling.
 
-use samoyeds_gpu_sim::{DeviceSpec, Interconnect};
+use crate::device::{DeviceSpec, Interconnect};
 use serde::{Deserialize, Serialize};
 
 /// One peer-to-peer fabric binding a cluster together.
@@ -127,30 +130,6 @@ mod tests {
             LinkSpec::for_device(&DeviceSpec::rtx4070_super()),
             LinkSpec::pcie_gen4()
         );
-    }
-
-    #[test]
-    fn kv_link_mirror_prices_a_handoff_exactly_like_the_link_it_came_from() {
-        // `serve::KvLink` is the dependency-direction-preserving mirror of
-        // `LinkSpec` for KV-cache handoffs: same latency floor, same
-        // bandwidth term, bit-for-bit. Pin `transfer_ms` against
-        // `point_to_point_ms` across the presets and a byte range
-        // (including the zero-byte fast path) so the two formulas can never
-        // drift apart.
-        for spec in [
-            LinkSpec::pcie_gen4(),
-            LinkSpec::nvlink3(),
-            LinkSpec::nvlink4(),
-            LinkSpec::infiniband_ndr(),
-        ] {
-            let kv = samoyeds_serve::KvLink {
-                latency_us: spec.latency_us,
-                bandwidth_gbps: spec.bandwidth_gbps,
-            };
-            for bytes in [0.0, 1.0, 4096.0, 1.5e6, 2.0e9] {
-                assert_eq!(kv.transfer_ms(bytes), spec.point_to_point_ms(bytes));
-            }
-        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! * **Prefill/decode disaggregation** — opt-in via
 //!   [`FleetController::with_disaggregation`]: arrivals run chunked prefill
 //!   on *prefill pods*, the finished prompt KV
-//!   ([`MemoryModel::kv_bytes`]-sized) is handed off over a [`KvLink`] to
+//!   ([`MemoryModel::kv_bytes`]-sized) is handed off over a [`LinkSpec`] to
 //!   the *decode pod* with the most free KV budget, and the remaining
 //!   tokens decode there. The handoff lands as a
 //!   [`FleetEvent::KvTransferComplete`] event; a crashed decode pod's
@@ -51,6 +51,7 @@ use crate::request::{CompletedRequest, Request, RunningRequest};
 use crate::scheduler::{ReplicaDriver, SchedulerConfig};
 use crate::telemetry::{SharedSink, TraceEvent};
 use crate::validate::{Diagnostic, ValidationReport};
+use samoyeds_gpu_sim::LinkSpec;
 use samoyeds_moe::engines::EngineKind;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -527,34 +528,6 @@ impl Slot {
     }
 }
 
-/// Pricing of one prefill→decode KV-cache handoff path as the serving crate
-/// sees it: a point-to-point link with a fixed latency and a sustained
-/// bandwidth. `samoyeds-dist` builds these from a `ClusterTopology` (NVLink
-/// within an island, the InfiniBand spine across), keeping the crate
-/// dependency direction intact — `serve` only ever needs the two numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct KvLink {
-    /// One-way link latency in microseconds.
-    pub latency_us: f64,
-    /// Sustained unidirectional bandwidth in GB/s (bytes, not bits).
-    pub bandwidth_gbps: f64,
-}
-
-impl KvLink {
-    /// Milliseconds to move `bytes` across the link: the latency floor plus
-    /// the serialization time at the sustained bandwidth, zero when there is
-    /// nothing to move. Mirrors `LinkSpec::point_to_point_ms` in
-    /// `samoyeds-dist` formula-for-formula (pinned by a test there), so a
-    /// KV handoff is priced exactly like any other point-to-point transfer
-    /// on the same fabric.
-    pub fn transfer_ms(&self, bytes: f64) -> f64 {
-        if bytes <= 0.0 {
-            return 0.0;
-        }
-        self.latency_us * 1e-3 + bytes / (self.bandwidth_gbps * 1e9) * 1e3
-    }
-}
-
 /// Opt-in prefill/decode disaggregation for [`FleetController`], installed
 /// with [`FleetController::with_disaggregation`].
 ///
@@ -562,8 +535,10 @@ impl KvLink {
 /// Arrivals route to prefill pods only and run chunked prefill there (plus
 /// the first output token, which the final prefill forward produces); the
 /// finished prompt KV — sized by [`MemoryModel::kv_bytes`] — is then handed
-/// off over the [`KvLink`] matrix to the decode pod with the most free KV
-/// budget, where the remaining tokens decode. The handoff lands as a
+/// off over the [`LinkSpec`] matrix to the decode pod with the most free KV
+/// budget, where the remaining tokens decode. Each handoff is priced by
+/// [`LinkSpec::point_to_point_ms`], the same formula that prices any other
+/// point-to-point transfer on that fabric. The handoff lands as a
 /// [`FleetEvent::KvTransferComplete`] event, ordered into the same-instant
 /// event hierarchy after fault recoveries and before control ticks.
 ///
@@ -583,7 +558,7 @@ pub struct DisaggregationConfig {
     /// per-token KV bytes.
     pub memory: MemoryModel,
     /// `links[p][d]` prices the handoff from `prefill[p]` to `decode[d]`.
-    pub links: Vec<Vec<KvLink>>,
+    pub links: Vec<Vec<LinkSpec>>,
 }
 
 impl DisaggregationConfig {
@@ -592,7 +567,7 @@ impl DisaggregationConfig {
         prefill: Vec<usize>,
         decode: Vec<usize>,
         memory: MemoryModel,
-        link: KvLink,
+        link: LinkSpec,
     ) -> Self {
         let links = vec![vec![link; decode.len()]; prefill.len()];
         Self {
@@ -744,7 +719,7 @@ impl Disagg {
                         .iter()
                         .position(|&s| s == to)
                         .expect("pick_decode_pod returns configured pods");
-                    let link = self.cfg.links[row][col];
+                    let transfer_ms = self.cfg.links[row][col].point_to_point_ms(bytes);
                     if let Some(sink) = sink {
                         sink.emit(TraceEvent::KvTransferStarted {
                             id,
@@ -763,7 +738,7 @@ impl Disagg {
                     });
                     self.in_flight += 1;
                     queue.push(
-                        (finished_ms + link.transfer_ms(bytes)).max(now),
+                        (finished_ms + transfer_ms).max(now),
                         FleetEvent::KvTransferComplete { transfer },
                     );
                 }
@@ -1183,7 +1158,7 @@ impl FleetController {
                             d.prefill.len(),
                             d.decode.len()
                         ),
-                        "provide one KvLink per prefill×decode pair \
+                        "provide one LinkSpec per prefill×decode pair \
                          (DisaggregationConfig::uniform builds a uniform matrix)",
                     ));
                 } else if d.links.iter().flatten().any(|l| {
@@ -1928,7 +1903,7 @@ impl FleetController {
                                     .iter()
                                     .position(|&s| s == next)
                                     .expect("pick_decode_pod returns configured pods");
-                                let link = d.cfg.links[row][col];
+                                let transfer_ms = d.cfg.links[row][col].point_to_point_ms(bytes);
                                 if let Some(sink) = &self.sink {
                                     sink.emit(TraceEvent::KvTransferStarted {
                                         id,
@@ -1947,7 +1922,7 @@ impl FleetController {
                                 });
                                 d.in_flight += 1;
                                 queue.push(
-                                    at + link.transfer_ms(bytes),
+                                    at + transfer_ms,
                                     FleetEvent::KvTransferComplete { transfer: retry },
                                 );
                             }
@@ -3045,7 +3020,8 @@ mod tests {
             prefill,
             decode,
             memory_model(),
-            KvLink {
+            LinkSpec {
+                name: "kv link".to_string(),
                 latency_us: 5.0,
                 bandwidth_gbps: 50.0,
             },

@@ -80,7 +80,7 @@ pub use events::{EventQueue, FleetEvent};
 pub use faults::{FaultKind, FaultRecord, FaultSchedule, FaultSpec, RecoveryPolicy, SeededFaults};
 pub use fleet::{
     AutoscalePolicy, DisaggregationConfig, FleetConfig, FleetController, FleetMetrics,
-    FleetObservation, KvLink, NoAutoscale, ReplicaBreakdown, ScaleDecision, ScaleEvent, ScaleKind,
+    FleetObservation, NoAutoscale, ReplicaBreakdown, ScaleDecision, ScaleEvent, ScaleKind,
     SloAutoscaler,
 };
 pub use memory::{MemoryModel, KV_DTYPE_BYTES};

@@ -9,12 +9,12 @@
 //! mirror that suite (fixed fleets, heterogeneous round-robin, SLO
 //! autoscaling with warm-up) so the pin covers the same surface.
 
-use samoyeds_gpu_sim::DeviceSpec;
+use samoyeds_gpu_sim::{DeviceSpec, LinkSpec};
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::EngineKind;
 use samoyeds_serve::{
     BurstPhase, BurstyTraceConfig, DisaggregationConfig, DispatchPolicy, ExecutionBackend,
-    FleetConfig, FleetController, FleetMetrics, KvLink, MemoryModel, Request, SchedulerConfig,
+    FleetConfig, FleetController, FleetMetrics, MemoryModel, Request, SchedulerConfig,
     SingleGpuBackend, SloAutoscaler, TraceConfig,
 };
 
@@ -76,7 +76,8 @@ fn ratio_zero(prefill: Vec<usize>) -> DisaggregationConfig {
             EngineKind::Samoyeds,
             &MoeModelConfig::qwen2_moe(),
         ),
-        KvLink {
+        LinkSpec {
+            name: "kv link".to_string(),
             latency_us: 5.0,
             bandwidth_gbps: 50.0,
         },

@@ -15,7 +15,7 @@
 //! it into `golden/fleet_metrics.txt` only when a change to the simulated
 //! numbers is intended.
 
-use samoyeds_gpu_sim::DeviceSpec;
+use samoyeds_gpu_sim::{DeviceSpec, LinkSpec};
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::EngineKind;
 use samoyeds_serve::{
@@ -210,11 +210,9 @@ impl Cell {
                 decode: vec![1, 2],
                 memory,
                 links: vec![vec![
-                    samoyeds_serve::KvLink {
-                        latency_us: 1.9,
-                        bandwidth_gbps: 300.0,
-                    },
-                    samoyeds_serve::KvLink {
+                    LinkSpec::nvlink3(),
+                    LinkSpec {
+                        name: "kv link".to_string(),
                         latency_us: 5.0,
                         bandwidth_gbps: 50.0,
                     },

@@ -6,11 +6,11 @@
 //! configuration — identical runs replay bit-for-bit, events included.
 
 use proptest::prelude::*;
-use samoyeds_gpu_sim::DeviceSpec;
+use samoyeds_gpu_sim::{DeviceSpec, LinkSpec};
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::EngineKind;
 use samoyeds_serve::{
-    DisaggregationConfig, ExecutionBackend, FleetConfig, FleetController, FleetMetrics, KvLink,
+    DisaggregationConfig, ExecutionBackend, FleetConfig, FleetController, FleetMetrics,
     MemoryModel, Request, SchedulerConfig, SharedSink, SingleGpuBackend, TraceConfig, TraceEvent,
     TraceRecorder,
 };
@@ -33,6 +33,15 @@ fn kv_memory() -> MemoryModel {
     )
 }
 
+/// A KV link with the given latency and bandwidth.
+fn link(latency_us: f64, bandwidth_gbps: f64) -> LinkSpec {
+    LinkSpec {
+        name: "kv link".to_string(),
+        latency_us,
+        bandwidth_gbps,
+    }
+}
+
 /// A fleet of `slots` pods — A100 prefill on the leading `prefill` slots,
 /// RTX 4070 Super decode on the rest — run over `trace` with a recorder
 /// attached. Returns the metrics and the recorded event stream.
@@ -40,7 +49,7 @@ fn run_disagg(
     trace: &[Request],
     slots: usize,
     prefill: usize,
-    link: KvLink,
+    link: &LinkSpec,
 ) -> (FleetMetrics, Vec<TraceEvent>) {
     let scfg = SchedulerConfig::default();
     let config = FleetConfig {
@@ -51,7 +60,7 @@ fn run_disagg(
         (0..prefill).collect(),
         (prefill..slots).collect(),
         kv_memory(),
-        link,
+        link.clone(),
     );
     let (sink, recorder) = SharedSink::new(TraceRecorder::new());
     let mut controller = FleetController::new(config);
@@ -95,8 +104,7 @@ proptest! {
             seed,
         }
         .generate();
-        let link = KvLink { latency_us: 5.0, bandwidth_gbps: 50.0 };
-        let (metrics, _) = run_disagg(&trace, slots, prefill, link);
+        let (metrics, _) = run_disagg(&trace, slots, prefill, &link(5.0, 50.0));
         prop_assert_eq!(
             metrics.completed + metrics.rejected + metrics.failed(),
             trace.len(),
@@ -126,8 +134,7 @@ proptest! {
         let prompt_lens: BTreeMap<u64, usize> =
             trace.iter().map(|r| (r.id, r.prompt_len)).collect();
         let memory = kv_memory();
-        let link = KvLink { latency_us, bandwidth_gbps };
-        let (_, events) = run_disagg(&trace, 3, 1, link);
+        let (_, events) = run_disagg(&trace, 3, 1, &link(latency_us, bandwidth_gbps));
         let mut started: BTreeMap<u64, f64> = BTreeMap::new();
         let mut landed = 0usize;
         for e in &events {
@@ -168,9 +175,9 @@ proptest! {
             seed,
         }
         .generate();
-        let link = KvLink { latency_us: 8.0, bandwidth_gbps: 25.0 };
-        let (first, first_events) = run_disagg(&trace, slots, prefill, link);
-        let (second, second_events) = run_disagg(&trace, slots, prefill, link);
+        let link = link(8.0, 25.0);
+        let (first, first_events) = run_disagg(&trace, slots, prefill, &link);
+        let (second, second_events) = run_disagg(&trace, slots, prefill, &link);
         prop_assert_eq!(first.completed, second.completed);
         prop_assert_eq!(first.rejected, second.rejected);
         prop_assert_eq!(first.failed_ids, second.failed_ids);
