@@ -878,7 +878,7 @@ impl FleetController {
     /// `fault::negative-time`, `fault::replica-out-of-range`,
     /// `fault::negative-duration`, `disagg::empty-role`,
     /// `disagg::role-out-of-range`, `disagg::overlapping-roles`,
-    /// `disagg::link-shape`, `disagg::bad-link`,
+    /// `disagg::duplicate-role`, `disagg::link-shape`, `disagg::bad-link`,
     /// `disagg::decode-cannot-hold-model`, `slo::nonpositive`,
     /// `slo::unachievable-ttft`. Warning codes:
     /// `fleet::no-capable-replica`, `fault::replica-never-commissioned`,
@@ -1093,8 +1093,8 @@ impl FleetController {
             }
         }
 
-        // Disaggregation: roles must name real replicas and not overlap,
-        // the link matrix must cover every prefill×decode pair, and every
+        // Disaggregation: roles must name real replicas, each at most once
+        // and in one role only, the link matrix must cover every prefill×decode pair, and every
         // decode pod must be able to hold the model it decodes for —
         // otherwise every handoff to it would fail at admission.
         if let Some(d) = &self.disagg {
@@ -1128,6 +1128,26 @@ impl FleetController {
                                 self.initial.len()
                             ),
                             "assign roles to initial replica indices only",
+                        ));
+                    }
+                }
+                for (role, pods) in [("prefill", &d.prefill), ("decode", &d.decode)] {
+                    let mut seen = BTreeSet::new();
+                    let repeated: BTreeSet<usize> = pods
+                        .iter()
+                        .copied()
+                        .filter(|&slot| !seen.insert(slot))
+                        .collect();
+                    for slot in repeated {
+                        report.push(Diagnostic::deny(
+                            "disagg::duplicate-role",
+                            dctx,
+                            format!(
+                                "replica {slot} is listed more than once as a {role} pod — \
+                                 the repeat skews dispatch and leaves part of the link \
+                                 matrix unused"
+                            ),
+                            format!("list each {role} pod once"),
                         ));
                     }
                 }

@@ -4,12 +4,13 @@
 //! configuration produces bit-for-bit identical metrics whether or not it
 //! was explicitly validated first.
 
-use samoyeds_gpu_sim::DeviceSpec;
+use samoyeds_gpu_sim::{DeviceSpec, LinkSpec};
 use samoyeds_moe::config::MoeModelConfig;
 use samoyeds_moe::engines::EngineKind;
 use samoyeds_serve::{
-    ExecutionBackend, FaultKind, FaultSchedule, FaultSpec, FleetConfig, FleetController,
-    FleetMetrics, Request, SchedulerConfig, Severity, SingleGpuBackend, SloAutoscaler, TraceConfig,
+    DisaggregationConfig, DispatchPolicy, ExecutionBackend, FaultKind, FaultSchedule, FaultSpec,
+    FleetConfig, FleetController, FleetMetrics, MemoryModel, Request, SchedulerConfig, Severity,
+    SingleGpuBackend, SloAutoscaler, TraceConfig,
 };
 
 fn replica() -> Box<dyn ExecutionBackend> {
@@ -185,6 +186,55 @@ fn nonpositive_and_unachievable_slos_are_denied() {
         .with_autoscaler(SloAutoscaler::new(2_000.0))
         .validate(&short_trace());
     assert!(report.passes(), "{}", report.render());
+}
+
+#[test]
+fn repeated_pod_in_one_role_is_denied() {
+    // A repeated prefill index would double that pod's round-robin share
+    // and leave one of its link-matrix rows unused; a repeated decode index
+    // leaves a column unused. Each repeated slot gets one diagnostic.
+    let fleet = |prefill: Vec<usize>, decode: Vec<usize>| {
+        let config = FleetConfig {
+            policy: DispatchPolicy::RoundRobin,
+            ..FleetConfig::default()
+        };
+        let memory = MemoryModel::new(
+            &DeviceSpec::a100_40g(),
+            EngineKind::Samoyeds,
+            &MoeModelConfig::qwen2_moe(),
+        );
+        FleetController::new(config)
+            .with_replica(replica())
+            .with_replica(replica())
+            .with_replica(replica())
+            .with_disaggregation(DisaggregationConfig::uniform(
+                prefill,
+                decode,
+                memory,
+                LinkSpec::nvlink3(),
+            ))
+    };
+    let trace = short_trace();
+    for (prefill, decode, repeated) in [
+        (vec![0, 0, 1], vec![2], 1),
+        (vec![0], vec![1, 2, 1], 1),
+        (vec![0, 1, 0, 1], vec![2, 2], 3),
+    ] {
+        let report = fleet(prefill.clone(), decode.clone()).validate(&trace);
+        let codes = report
+            .diagnostics()
+            .iter()
+            .filter(|d| d.code == "disagg::duplicate-role")
+            .count();
+        assert_eq!(
+            codes,
+            repeated,
+            "{prefill:?} {decode:?}: {}",
+            report.render()
+        );
+        assert!(!report.passes());
+    }
+    assert!(fleet(vec![0, 1], vec![2]).validate(&trace).passes());
 }
 
 #[test]
