@@ -1094,9 +1094,10 @@ impl FleetController {
         }
 
         // Disaggregation: roles must name real replicas, each at most once
-        // and in one role only, the link matrix must cover every prefill×decode pair, and every
-        // decode pod must be able to hold the model it decodes for —
-        // otherwise every handoff to it would fail at admission.
+        // and in one role only, the link matrix must cover every
+        // prefill×decode pair, and every decode pod must be able to hold the
+        // model it decodes for — otherwise every handoff to it would fail at
+        // admission.
         if let Some(d) = &self.disagg {
             let dctx = "DisaggregationConfig";
             if d.decode.is_empty() {
