@@ -249,14 +249,8 @@ impl ClusterSimulator {
         routed_cfg.num_shared_experts = 0;
         (0..plan.num_experts())
             .map(|e| {
-                let single = RoutingPlan {
-                    num_tokens: plan.num_tokens,
-                    top_k: plan.top_k,
-                    expert_tokens: vec![plan.expert_tokens[e].clone()],
-                    expert_weights: vec![plan.expert_weights[e].clone()],
-                };
                 let ms = engine
-                    .moe_layer_cost(&routed_cfg, plan.num_tokens, &single)
+                    .moe_layer_cost_for_loads(&routed_cfg, plan.num_tokens, &[plan.tokens_for(e)])
                     .time_ms;
                 (ms * 1e6) as usize
             })
@@ -357,12 +351,6 @@ impl ClusterSimulator {
         // experts are replicated and run over the GPU's local tokens only.
         let mut routed_cfg = self.model.clone();
         routed_cfg.num_shared_experts = 0;
-        let empty_plan = |local: usize| RoutingPlan {
-            num_tokens: local,
-            top_k: self.model.top_k,
-            expert_tokens: Vec::new(),
-            expert_weights: Vec::new(),
-        };
         let mut per_gpu_compute_ms = Vec::with_capacity(g);
         let mut sharded_assignments = 0usize;
         for (gpu, shard) in shards.iter().enumerate() {
@@ -372,7 +360,7 @@ impl ClusterSimulator {
                 .time_ms;
             if self.model.num_shared_experts > 0 && locals[gpu] > 0 {
                 ms += engine
-                    .moe_layer_cost(&self.model, locals[gpu], &empty_plan(locals[gpu]))
+                    .moe_layer_cost_for_loads(&self.model, locals[gpu], &[])
                     .time_ms;
             }
             per_gpu_compute_ms.push(ms);

@@ -189,22 +189,38 @@ impl Engine {
     }
 
     /// Predicted cost of one MoE layer for `num_tokens` tokens routed by
-    /// `plan`.
+    /// `plan`. Only the per-expert token counts of the plan matter; see
+    /// [`Self::moe_layer_cost_for_loads`].
     pub fn moe_layer_cost(
         &self,
         config: &MoeModelConfig,
         num_tokens: usize,
         plan: &RoutingPlan,
     ) -> LayerCost {
+        self.moe_layer_cost_for_loads(config, num_tokens, &plan.expert_loads())
+    }
+
+    /// Predicted cost of one MoE layer for `num_tokens` tokens, given the
+    /// routed token count of every expert (`loads[e]`, in expert order).
+    ///
+    /// An expert kernel reads its tokens through the SEL array, so what it
+    /// costs depends only on how many tokens it was given: this is the
+    /// whole of what a routing plan contributes to the layer's cost.
+    pub fn moe_layer_cost_for_loads(
+        &self,
+        config: &MoeModelConfig,
+        num_tokens: usize,
+        loads: &[usize],
+    ) -> LayerCost {
         if !self.supports(config) {
             return LayerCost::unsupported();
         }
         let time_ms = match self.kind {
-            EngineKind::Transformers => self.time_transformers(config, num_tokens, plan, false),
-            EngineKind::MegaBlocks => self.time_grouped(config, num_tokens, plan, 128, 0.9),
-            EngineKind::VllmDs => self.time_fused_dense(config, num_tokens, plan, 64),
-            EngineKind::Pit => self.time_pit(config, num_tokens, plan),
-            EngineKind::Samoyeds => self.time_samoyeds(config, num_tokens, plan),
+            EngineKind::Transformers => self.time_transformers(config, num_tokens, loads),
+            EngineKind::MegaBlocks => self.time_grouped(config, num_tokens, loads, 128, 0.9),
+            EngineKind::VllmDs => self.time_fused_dense(config, num_tokens, loads, 64),
+            EngineKind::Pit => self.time_pit(config, num_tokens, loads),
+            EngineKind::Samoyeds => self.time_samoyeds(config, num_tokens, loads),
         };
         LayerCost {
             time_ms,
@@ -216,17 +232,43 @@ impl Engine {
 
     /// Expert GEMM helper: the three projections of one expert over `tokens`
     /// tokens, costed with the dense cuBLAS-like kernel.
-    fn dense_expert_time_ms(&self, config: &MoeModelConfig, tokens: usize) -> f64 {
+    fn dense_expert_time_ms(gemm: &DenseGemm, config: &MoeModelConfig, tokens: usize) -> f64 {
         if tokens == 0 {
             return 0.0;
         }
-        let gemm = DenseGemm::new(self.device.clone());
         let h = config.hidden_size;
         let i = config.intermediate_size;
         let gate = gemm.stats(&GemmProblem::dense(i, h, tokens)).time_ms;
-        let up = gemm.stats(&GemmProblem::dense(i, h, tokens)).time_ms;
+        // The up projection has the gate's shape.
+        let up = gate;
         let down = gemm.stats(&GemmProblem::dense(h, i, tokens)).time_ms;
         gate + up + down
+    }
+
+    /// Sum over the routed experts of the three projections on the dense
+    /// kernel, each expert's tokens padded up to a multiple of `tile` (the
+    /// grouped, fused and PIT kernels differ only in their tile).
+    fn padded_dense_experts_ms(
+        gemm: &DenseGemm,
+        config: &MoeModelConfig,
+        loads: &[usize],
+        tile: usize,
+    ) -> f64 {
+        let h = config.hidden_size;
+        let i = config.intermediate_size;
+        let mut memo = ExpertMemo::default();
+        let mut total = 0.0;
+        for &tokens in loads.iter().filter(|&&t| t > 0) {
+            let [gate_up, down] = memo.get(tokens.div_ceil(tile) * tile, |padded| {
+                [
+                    gemm.stats(&GemmProblem::dense(i, h, padded)).time_ms * 2.0,
+                    gemm.stats(&GemmProblem::dense(h, i, padded)).time_ms,
+                ]
+            });
+            total += gate_up;
+            total += down;
+        }
+        total
     }
 
     /// Extra time of an element-wise pass (activation or weighted
@@ -246,48 +288,38 @@ impl Engine {
 
     /// Transformers-style execution: permute, per-expert dense GEMMs with
     /// standalone activations, un-permute with weighted accumulation.
-    /// `fused_activation` is exposed so the Samoyeds "+W" breakdown point can
-    /// reuse this data flow with sparse kernels.
     fn time_transformers(
         &self,
         config: &MoeModelConfig,
         num_tokens: usize,
-        plan: &RoutingPlan,
-        weight_sparse: bool,
+        loads: &[usize],
     ) -> f64 {
         let h = config.hidden_size;
         let i = config.intermediate_size;
+        let gemm = DenseGemm::new(self.device.clone());
         let mut total = 0.0;
         // Input permutation: every routed token is copied into its expert's
         // buffer.
-        let permuted_tokens: usize = (0..plan.num_experts()).map(|e| plan.tokens_for(e)).sum();
+        let permuted_tokens: usize = loads.iter().sum();
         total += self.copy_pass_ms((permuted_tokens * h) as f64 * 2.0);
-        for e in 0..plan.num_experts() {
-            let tokens = plan.tokens_for(e);
-            if tokens == 0 {
-                continue;
-            }
-            total += if weight_sparse {
-                self.samoyeds_expert_time_ms(config, tokens, tokens, SamoyedsOptions::WEIGHT_ONLY)
-            } else {
-                self.dense_expert_time_ms(config, tokens)
-            };
-            // Standalone activation + gating multiply over the intermediate.
-            total += self.elementwise_pass_ms(i, tokens, config.activation);
-            total += self.elementwise_pass_ms(i, tokens, Activation::Identity);
+        let mut memo = ExpertMemo::default();
+        for &tokens in loads.iter().filter(|&&t| t > 0) {
+            let [gemms, activation, gating] = memo.get(tokens, |tokens| {
+                [
+                    Self::dense_expert_time_ms(&gemm, config, tokens),
+                    // Standalone activation + gating multiply over the
+                    // intermediate.
+                    self.elementwise_pass_ms(i, tokens, config.activation),
+                    self.elementwise_pass_ms(i, tokens, Activation::Identity),
+                ]
+            });
+            total += gemms;
+            total += activation;
+            total += gating;
         }
         // Shared experts process every token.
         for _ in 0..config.num_shared_experts {
-            total += if weight_sparse {
-                self.samoyeds_expert_time_ms(
-                    config,
-                    num_tokens,
-                    num_tokens,
-                    SamoyedsOptions::WEIGHT_ONLY,
-                )
-            } else {
-                self.dense_expert_time_ms(config, num_tokens)
-            };
+            total += Self::dense_expert_time_ms(&gemm, config, num_tokens);
             total += self.elementwise_pass_ms(i, num_tokens, config.activation);
         }
         // Weighted un-permutation: expert outputs are written to global
@@ -303,35 +335,26 @@ impl Engine {
         &self,
         config: &MoeModelConfig,
         num_tokens: usize,
-        plan: &RoutingPlan,
+        loads: &[usize],
         block: usize,
         fusion_quality: f64,
     ) -> f64 {
         let h = config.hidden_size;
         let i = config.intermediate_size;
         let gemm = DenseGemm::new(self.device.clone());
-        let mut gemm_ms = 0.0;
-        for e in 0..plan.num_experts() {
-            let tokens = plan.tokens_for(e);
-            if tokens == 0 {
-                continue;
-            }
-            let padded = tokens.div_ceil(block) * block;
-            gemm_ms += gemm.stats(&GemmProblem::dense(i, h, padded)).time_ms * 2.0;
-            gemm_ms += gemm.stats(&GemmProblem::dense(h, i, padded)).time_ms;
-        }
+        let gemm_ms = Self::padded_dense_experts_ms(&gemm, config, loads, block);
         // Grouping removes the per-expert launch overheads except one, and
         // fuses most of the element-wise work.
-        let launches_saved = (plan.num_experts().saturating_sub(1) * 3) as f64 * 5.0e-3;
+        let launches_saved = (loads.len().saturating_sub(1) * 3) as f64 * 5.0e-3;
         let mut total = gemm_ms - launches_saved.min(gemm_ms * 0.1);
         total +=
             (1.0 - fusion_quality) * self.elementwise_pass_ms(i, num_tokens, config.activation);
         // Shared experts are ordinary dense GEMMs.
         for _ in 0..config.num_shared_experts {
-            total += self.dense_expert_time_ms(config, num_tokens);
+            total += Self::dense_expert_time_ms(&gemm, config, num_tokens);
         }
         // Token gather/scatter still happens once each way.
-        total += self.copy_pass_ms((plan.total_assignments() * h) as f64 * 2.0);
+        total += self.copy_pass_ms((loads.iter().sum::<usize>() * h) as f64 * 2.0);
         total
     }
 
@@ -341,28 +364,18 @@ impl Engine {
         &self,
         config: &MoeModelConfig,
         num_tokens: usize,
-        plan: &RoutingPlan,
+        loads: &[usize],
         tile: usize,
     ) -> f64 {
         let h = config.hidden_size;
-        let i = config.intermediate_size;
         let gemm = DenseGemm::new(self.device.clone());
-        let mut total = 0.0;
-        for e in 0..plan.num_experts() {
-            let tokens = plan.tokens_for(e);
-            if tokens == 0 {
-                continue;
-            }
-            let padded = tokens.div_ceil(tile) * tile;
-            total += gemm.stats(&GemmProblem::dense(i, h, padded)).time_ms * 2.0;
-            total += gemm.stats(&GemmProblem::dense(h, i, padded)).time_ms;
-        }
+        let mut total = Self::padded_dense_experts_ms(&gemm, config, loads, tile);
         // The fused kernel eliminates the separate permute/un-permute passes
         // and the element-wise kernels; only a small in-kernel gather cost
         // proportional to the routed tokens remains.
-        total += self.copy_pass_ms((plan.total_assignments() * h) as f64 * 2.0) * 0.3;
+        total += self.copy_pass_ms((loads.iter().sum::<usize>() * h) as f64 * 2.0) * 0.3;
         for _ in 0..config.num_shared_experts {
-            total += self.dense_expert_time_ms(config, num_tokens);
+            total += Self::dense_expert_time_ms(&gemm, config, num_tokens);
         }
         total
     }
@@ -370,51 +383,38 @@ impl Engine {
     /// PIT-like execution: micro-tile permutation invariant packing removes
     /// padding waste entirely but the compute stays on the dense tensor
     /// cores and the packing itself costs one extra pass over the tokens.
-    fn time_pit(&self, config: &MoeModelConfig, num_tokens: usize, plan: &RoutingPlan) -> f64 {
+    fn time_pit(&self, config: &MoeModelConfig, num_tokens: usize, loads: &[usize]) -> f64 {
         let h = config.hidden_size;
-        let i = config.intermediate_size;
         let gemm = DenseGemm::new(self.device.clone());
-        let mut total = 0.0;
-        for e in 0..plan.num_experts() {
-            let tokens = plan.tokens_for(e);
-            if tokens == 0 {
-                continue;
-            }
-            // Micro-tiles of 16 remove almost all padding.
-            let padded = tokens.div_ceil(16) * 16;
-            total += gemm.stats(&GemmProblem::dense(i, h, padded)).time_ms * 2.0;
-            total += gemm.stats(&GemmProblem::dense(h, i, padded)).time_ms;
-        }
-        total += self.copy_pass_ms((plan.total_assignments() * h) as f64 * 2.0) * 0.5;
+        // Micro-tiles of 16 remove almost all padding.
+        let mut total = Self::padded_dense_experts_ms(&gemm, config, loads, 16);
+        total += self.copy_pass_ms((loads.iter().sum::<usize>() * h) as f64 * 2.0) * 0.5;
         for _ in 0..config.num_shared_experts {
-            total += self.dense_expert_time_ms(config, num_tokens);
+            total += Self::dense_expert_time_ms(&gemm, config, num_tokens);
         }
         total
     }
 
-    /// Cost of one expert (three projections) under the Samoyeds kernel with
-    /// the given options. `selected` is the number of routed tokens, `total`
-    /// the logical token count the SEL array indexes into.
+    /// Cost of one expert (three projections) under the Samoyeds `kernel`.
+    /// `padded` is the expert's routed token count padded to the kernel's
+    /// N-tile ([`samoyeds_padded`]), `total` the logical token count the SEL
+    /// array indexes into.
     fn samoyeds_expert_time_ms(
         &self,
+        kernel: &SamoyedsKernel,
         config: &MoeModelConfig,
-        selected: usize,
+        padded: usize,
         total: usize,
-        options: SamoyedsOptions,
     ) -> f64 {
-        if selected == 0 {
+        if padded == 0 {
             return 0.0;
         }
         let h = config.hidden_size;
         let i = config.intermediate_size;
-        let kernel = SamoyedsKernel::with_options(self.device.clone(), options);
-        // Padding to the kernel's N-tile (the §6.2 padding effect).
-        let nb = TilingConfig::DEFAULT_4070S.nb;
-        let padded = selected.div_ceil(nb.min(64)) * nb.min(64);
         // With input sparsity the kernel indexes the full token buffer through
         // the SEL array; without it (the "+W" data flow) the expert receives
         // an already-gathered buffer of just its own tokens.
-        let logical_n = if options.input_sparsity {
+        let logical_n = if kernel.options().input_sparsity {
             total.max(padded)
         } else {
             padded
@@ -443,16 +443,17 @@ impl Engine {
     /// Samoyeds execution: dual-side sparse kernels straight off the SEL
     /// arrays, fused activation and weighted accumulation, no permute
     /// round-trips.
-    fn time_samoyeds(&self, config: &MoeModelConfig, num_tokens: usize, plan: &RoutingPlan) -> f64 {
+    fn time_samoyeds(&self, config: &MoeModelConfig, num_tokens: usize, loads: &[usize]) -> f64 {
+        let kernel = SamoyedsKernel::with_options(self.device.clone(), self.samoyeds_options);
+        let mut memo = ExpertMemo::default();
         let mut total = 0.0;
-        for e in 0..plan.num_experts() {
-            let tokens = plan.tokens_for(e);
-            total +=
-                self.samoyeds_expert_time_ms(config, tokens, num_tokens, self.samoyeds_options);
+        let price = |padded| self.samoyeds_expert_time_ms(&kernel, config, padded, num_tokens);
+        for &tokens in loads {
+            total += memo.get(samoyeds_padded(tokens), price);
         }
+        // Shared experts are experts that see every token.
         for _ in 0..config.num_shared_experts {
-            total +=
-                self.samoyeds_expert_time_ms(config, num_tokens, num_tokens, self.samoyeds_options);
+            total += memo.get(samoyeds_padded(num_tokens), price);
         }
         // The weighted accumulation is fused; only the final dense output
         // write remains, which the kernel already accounts for. A residual
@@ -461,7 +462,7 @@ impl Engine {
         if !self.samoyeds_options.input_sparsity {
             // The "+W" configuration keeps the permute/un-permute flow.
             let h = config.hidden_size;
-            total += self.copy_pass_ms((plan.total_assignments() * h) as f64 * 2.0 * 3.0);
+            total += self.copy_pass_ms((loads.iter().sum::<usize>() * h) as f64 * 2.0 * 3.0);
         }
         total
     }
@@ -558,6 +559,36 @@ impl Engine {
     }
 }
 
+/// A routed token count padded to the Samoyeds kernel's N-tile (the §6.2
+/// padding effect). The expert's cost depends on its count only through
+/// this value.
+fn samoyeds_padded(selected: usize) -> usize {
+    let nb = TilingConfig::DEFAULT_4070S.nb.min(64);
+    selected.div_ceil(nb) * nb
+}
+
+/// The per-expert terms of one layer-cost evaluation, keyed on the value
+/// they depend on (a routed count, or that count padded to a tile). The
+/// experts of a step repeat a handful of shapes, so each distinct shape is
+/// priced once; the caller still adds one term per expert, in expert order,
+/// so the sums are those of pricing every expert. Lives for one call only.
+#[derive(Default)]
+struct ExpertMemo<T> {
+    entries: Vec<(usize, T)>,
+}
+
+impl<T: Copy> ExpertMemo<T> {
+    /// The terms for `key`, computed by `price(key)` on first use.
+    fn get(&mut self, key: usize, price: impl FnOnce(usize) -> T) -> T {
+        if let Some(&(_, terms)) = self.entries.iter().find(|(k, _)| *k == key) {
+            return terms;
+        }
+        let terms = price(key);
+        self.entries.push((key, terms));
+        terms
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,6 +596,112 @@ mod tests {
 
     fn plan_for(config: &MoeModelConfig, tokens: usize) -> RoutingPlan {
         TopKRouter::for_config(config, 7).route(tokens)
+    }
+
+    /// Every engine, plus the Samoyeds breakdown option sets.
+    fn cost_engines() -> Vec<Engine> {
+        let device = DeviceSpec::a100_40g();
+        let mut engines: Vec<Engine> = EngineKind::all()
+            .into_iter()
+            .map(|kind| Engine::new(kind, device.clone()))
+            .collect();
+        for options in [
+            SamoyedsOptions::WEIGHT_ONLY,
+            SamoyedsOptions::WEIGHT_INPUT,
+            SamoyedsOptions::WEIGHT_INPUT_LAYOUT,
+        ] {
+            engines.push(
+                Engine::new(EngineKind::Samoyeds, device.clone()).with_samoyeds_options(options),
+            );
+        }
+        engines
+    }
+
+    /// Models with and without shared experts (OpenMoE is the `NS` case of
+    /// the dense fused engines) under balanced and skewed routing, with
+    /// batches small enough to leave most experts without a token.
+    fn cost_plans() -> Vec<(MoeModelConfig, usize, RoutingPlan)> {
+        let mut plans = Vec::new();
+        for model in [
+            MoeModelConfig::qwen2_moe(),
+            MoeModelConfig::mixtral_8x7b(),
+            MoeModelConfig::deepseek_moe(),
+            MoeModelConfig::openmoe_34b(),
+        ] {
+            for skew in [0.0, 1.2] {
+                for tokens in [0usize, 1, 7, 226, 1024] {
+                    let plan = TopKRouter::for_config(&model, 7)
+                        .with_skew(skew)
+                        .route(tokens);
+                    plans.push((model.clone(), tokens, plan));
+                }
+            }
+        }
+        plans
+    }
+
+    #[test]
+    fn layer_cost_from_loads_equals_layer_cost_from_the_plan() {
+        let plans = cost_plans();
+        let mut zero_load_plans = 0;
+        let mut unsupported = 0;
+        for engine in cost_engines() {
+            for (model, tokens, plan) in &plans {
+                let loads = plan.expert_loads();
+                zero_load_plans += usize::from(loads.contains(&0));
+                let from_loads = engine.moe_layer_cost_for_loads(model, *tokens, &loads);
+                let from_plan = engine.moe_layer_cost(model, *tokens, plan);
+                unsupported += usize::from(!from_plan.supported);
+                assert_eq!(
+                    from_loads,
+                    from_plan,
+                    "{:?} {:?} {} tokens",
+                    engine.kind(),
+                    model.name,
+                    tokens
+                );
+            }
+        }
+        assert!(zero_load_plans > 0);
+        // OpenMoE on MegaBlocks and vLLM-DS, every batch.
+        assert_eq!(unsupported, 2 * 10);
+    }
+
+    #[test]
+    fn layer_costs_are_pinned_to_the_per_expert_evaluation() {
+        // FNV-1a-64 of the `Debug` form of every case's cost (which prints
+        // each f64 in shortest round-trip form), captured before the
+        // per-expert terms were memoized: pricing each distinct shape once
+        // must leave every bit of every layer cost unchanged.
+        const GOLDEN: [&str; 8] = [
+            "bce281155a90cb02", // Transformers
+            "ff0797f1d87b3d4d", // MegaBlocks
+            "875711089c204915", // vLLM-DS
+            "d497e0c024d10f40", // PIT
+            "ae5257b64ed815b4", // Samoyeds (full)
+            "9ccc1c36e5c5dd06", // Samoyeds+W
+            "86f9ff836df3cf41", // Samoyeds+WI
+            "9fe4cfdb5d7af907", // Samoyeds+WIT
+        ];
+        fn fnv1a64(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        let plans = cost_plans();
+        let digests: Vec<String> = cost_engines()
+            .into_iter()
+            .map(|engine| {
+                let text: String = plans
+                    .iter()
+                    .map(|(model, tokens, plan)| {
+                        format!("{:?}\n", engine.moe_layer_cost(model, *tokens, plan))
+                    })
+                    .collect();
+                format!("{:016x}", fnv1a64(text.as_bytes()))
+            })
+            .collect();
+        assert_eq!(digests, GOLDEN, "regenerated digests: {digests:?}");
     }
 
     #[test]

@@ -284,9 +284,54 @@ impl TopKRouter {
     /// `TopKRouter::new(num_experts, top_k, s).unwrap().route(n)` with the
     /// same skew.
     pub fn route_seeded(&self, seed: u64, num_tokens: usize) -> RoutingPlan {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut expert_tokens: Vec<Vec<u32>> = vec![Vec::new(); self.num_experts];
         let mut expert_weights: Vec<Vec<f32>> = vec![Vec::new(); self.num_experts];
+        let mut exps: Vec<f32> = Vec::with_capacity(self.top_k);
+        self.draw(seed, num_tokens, |token, chosen, logits| {
+            // Softmax over the random logits of the chosen experts.
+            let max = logits.iter().cloned().fold(f32::MIN, f32::max);
+            exps.clear();
+            exps.extend(logits.iter().map(|l| (l - max).exp()));
+            let sum: f32 = exps.iter().sum();
+            for (&e, w) in chosen.iter().zip(exps.iter()) {
+                expert_tokens[e].push(token as u32);
+                expert_weights[e].push(w / sum);
+            }
+        });
+        RoutingPlan {
+            num_tokens,
+            top_k: self.top_k,
+            expert_tokens,
+            expert_weights,
+        }
+    }
+
+    /// Per-expert token counts of [`Self::route_seeded`], without building
+    /// the plan: `router.route_loads_seeded(s, n)` equals
+    /// `router.route_seeded(s, n).expert_loads()`. Every value of the same
+    /// random stream is still drawn (the expert picks and the router
+    /// logits), only the token lists and softmax weights are skipped — the
+    /// serving hot path prices a step from the counts alone.
+    pub fn route_loads_seeded(&self, seed: u64, num_tokens: usize) -> Vec<usize> {
+        let mut loads = vec![0usize; self.num_experts];
+        self.draw(seed, num_tokens, |_, chosen, _| {
+            for &e in chosen {
+                loads[e] += 1;
+            }
+        });
+        loads
+    }
+
+    /// The sampling loop shared by every routing entry point: for each
+    /// token, pick `top_k` distinct experts and draw one router logit per
+    /// pick, then hand `(token, chosen experts, logits)` to `visit`. One
+    /// ChaCha stream per call, consumed in the same order whatever the
+    /// visitor does with the draws.
+    fn draw<F>(&self, seed: u64, num_tokens: usize, mut visit: F)
+    where
+        F: FnMut(usize, &[usize], &[f32]),
+    {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut experts: Vec<usize> = (0..self.num_experts).collect();
         // Clamp to the smallest positive float: extreme skews underflow the
         // Zipf tail to 0.0, which would leave the sampler with an empty
@@ -295,6 +340,7 @@ impl TopKRouter {
             .map(|e| (1.0 / ((e + 1) as f64).powf(self.skew)).max(f64::MIN_POSITIVE))
             .collect();
         let mut chosen_buf: Vec<usize> = Vec::with_capacity(self.top_k);
+        let mut logits: Vec<f32> = Vec::with_capacity(self.top_k);
         let mut remaining = popularity.clone();
         for token in 0..num_tokens {
             let chosen: &[usize] = if self.skew == 0.0 {
@@ -332,21 +378,9 @@ impl TopKRouter {
                 }
                 &chosen_buf
             };
-            // Softmax over random logits for the chosen experts.
-            let logits: Vec<f32> = chosen.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let max = logits.iter().cloned().fold(f32::MIN, f32::max);
-            let exps: Vec<f32> = logits.iter().map(|l| (l - max).exp()).collect();
-            let sum: f32 = exps.iter().sum();
-            for (&e, w) in chosen.iter().zip(exps.iter()) {
-                expert_tokens[e].push(token as u32);
-                expert_weights[e].push(w / sum);
-            }
-        }
-        RoutingPlan {
-            num_tokens,
-            top_k: self.top_k,
-            expert_tokens,
-            expert_weights,
+            logits.clear();
+            logits.extend(chosen.iter().map(|_| rng.gen_range(-1.0f32..1.0)));
+            visit(token, chosen, &logits);
         }
     }
 }
@@ -384,6 +418,26 @@ mod tests {
         let skewed = TopKRouter::new(16, 3, 5).unwrap().with_skew(1.2);
         let rebuilt = TopKRouter::new(16, 3, 99).unwrap().with_skew(1.2);
         assert_eq!(skewed.route_seeded(99, 256), rebuilt.route(256));
+    }
+
+    #[test]
+    fn route_loads_seeded_matches_the_full_plan_loads() {
+        // The counts-only path draws the same stream as the full plan: were
+        // it to skip a draw (a logit, say), every later token would pick
+        // different experts and the loads would drift apart.
+        let config = MoeModelConfig::qwen2_moe();
+        for skew in [0.0, 1.2] {
+            let router = TopKRouter::for_config(&config, 3).with_skew(skew);
+            for seed in [0u64, 42, u64::MAX] {
+                for tokens in [0usize, 1, 7, 226, 1024] {
+                    assert_eq!(
+                        router.route_loads_seeded(seed, tokens),
+                        router.route_seeded(seed, tokens).expert_loads(),
+                        "skew {skew} seed {seed} tokens {tokens}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -308,8 +308,9 @@ impl SingleGpuBackend {
         Self {
             engine: Engine::new(engine_kind, device.clone()),
             memory: MemoryModel::new(&device, engine_kind, config),
-            // Built once; reseeded per step via `route_seeded` instead of
-            // being reconstructed on the per-step hot path.
+            // Built once and reseeded per step. A step is priced from the
+            // per-expert token counts alone (`route_loads_seeded`): the same
+            // random stream as the full plan, without its token lists.
             router: TopKRouter::for_config(config, scfg.routing_seed),
             device,
             config: config.clone(),
@@ -360,12 +361,12 @@ impl ExecutionBackend for SingleGpuBackend {
 
     fn step_cost(&self, workload: &StepWorkload<'_>) -> StepCost {
         let step_tokens = workload.step_tokens();
-        let plan = self
+        let loads = self
             .router
-            .route_seeded(self.routing_seed ^ workload.step_index, step_tokens);
+            .route_loads_seeded(self.routing_seed ^ workload.step_index, step_tokens);
         let moe_ms = self
             .engine
-            .moe_layer_cost(&self.config, step_tokens, &plan)
+            .moe_layer_cost_for_loads(&self.config, step_tokens, &loads)
             .time_ms;
         let attention_ms = attention_step_ms(
             &self.device,

@@ -879,8 +879,8 @@ impl FleetController {
     /// `fault::negative-duration`, `disagg::empty-role`,
     /// `disagg::role-out-of-range`, `disagg::overlapping-roles`,
     /// `disagg::duplicate-role`, `disagg::link-shape`, `disagg::bad-link`,
-    /// `disagg::decode-cannot-hold-model`, `slo::nonpositive`,
-    /// `slo::unachievable-ttft`. Warning codes:
+    /// `disagg::decode-cannot-hold-model`, `model::top-k-out-of-range`,
+    /// `slo::nonpositive`, `slo::unachievable-ttft`. Warning codes:
     /// `fleet::no-capable-replica`, `fault::replica-never-commissioned`,
     /// `fault::empty-partition`, `fault::past-trace-end`,
     /// `disagg::no-decode-pods`, `disagg::unassigned-replica`.
@@ -971,6 +971,29 @@ impl FleetController {
                 ),
                 "sort the trace by arrival_ms before serving it",
             ));
+        }
+        // The router picks `top_k` distinct experts per token: a model
+        // outside 1..=num_experts would panic mid-run or price no experts.
+        let top_k_in_range = |b: &dyn ExecutionBackend| {
+            let model = b.model();
+            (1..=model.num_experts).contains(&model.top_k)
+        };
+        for (slot, b) in self.initial.iter().enumerate() {
+            if !top_k_in_range(b.as_ref()) {
+                let model = b.model();
+                report.push(Diagnostic::deny(
+                    "model::top-k-out-of-range",
+                    format!("replica {slot}"),
+                    format!(
+                        "{} routes each token to top_k = {} of {} experts — the router needs \
+                         1 <= top_k <= num_experts",
+                        b.describe(),
+                        model.top_k,
+                        model.num_experts
+                    ),
+                    "set the model's top_k between 1 and num_experts",
+                ));
+            }
         }
         let capable =
             |b: &dyn ExecutionBackend| b.supports(b.model()) && b.memory().can_hold_model();
@@ -1262,7 +1285,7 @@ impl FleetController {
                 let floor = self
                     .initial
                     .iter()
-                    .filter(|b| capable(b.as_ref()))
+                    .filter(|b| capable(b.as_ref()) && top_k_in_range(b.as_ref()))
                     .map(|b| b.step_cost(&workload).total_ms())
                     .min_by(f64::total_cmp);
                 if let Some(floor) = floor {

@@ -25,8 +25,9 @@
 //! `fleet_event_equivalence` and `validation` suites).
 //!
 //! Diagnostic codes are stable, documented identifiers (`fleet::…`,
-//! `fault::…`, `slo::…`, `topology::…`, `placement::…`) so tests and
-//! tooling can match on them without parsing prose.
+//! `fault::…`, `disagg::…`, `model::…`, `slo::…`, `topology::…`,
+//! `placement::…`) so tests and tooling can match on them without parsing
+//! prose.
 
 use std::fmt;
 

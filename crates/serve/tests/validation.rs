@@ -238,6 +238,58 @@ fn repeated_pod_in_one_role_is_denied() {
 }
 
 #[test]
+fn replica_model_with_top_k_out_of_range_is_denied() {
+    // top_k = 0 would price no routed experts; top_k > num_experts would
+    // panic in the router on the first step — and in validate itself, where
+    // the SLO floor prices a step on every capable replica.
+    let with_top_k = |top_k: usize| -> Box<dyn ExecutionBackend> {
+        let mut model = MoeModelConfig::qwen2_moe();
+        model.top_k = top_k;
+        Box::new(SingleGpuBackend::new(
+            DeviceSpec::a100_40g(),
+            &model,
+            EngineKind::Samoyeds,
+            &SchedulerConfig::default(),
+        ))
+    };
+    let trace = short_trace();
+    let num_experts = MoeModelConfig::qwen2_moe().num_experts;
+    for top_k in [0, num_experts + 1] {
+        let fleet = || {
+            FleetController::new(FleetConfig::default())
+                .with_replica(replica())
+                .with_replica(with_top_k(top_k))
+        };
+        let report = fleet().validate(&trace);
+        let denied: Vec<&str> = report
+            .diagnostics()
+            .iter()
+            .filter(|d| d.code == "model::top-k-out-of-range")
+            .map(|d| d.context.as_str())
+            .collect();
+        assert_eq!(denied, ["replica 1"], "top_k {top_k}: {}", report.render());
+        assert!(!report.passes());
+        // The SLO floor leaves the replica out instead of pricing a step on
+        // it; the sound replica still sets the floor.
+        let report = fleet()
+            .with_autoscaler(SloAutoscaler::new(2_000.0))
+            .validate(&trace);
+        assert!(report.has("model::top-k-out-of-range"));
+        assert!(!report.has("slo::unachievable-ttft"), "{}", report.render());
+        let report = fleet()
+            .with_autoscaler(SloAutoscaler::new(0.001))
+            .validate(&trace);
+        assert!(report.has("slo::unachievable-ttft"), "{}", report.render());
+    }
+    for top_k in [1, num_experts] {
+        let report = FleetController::new(FleetConfig::default())
+            .with_replica(with_top_k(top_k))
+            .validate(&trace);
+        assert!(report.passes(), "top_k {top_k}: {}", report.render());
+    }
+}
+
+#[test]
 fn run_panics_listing_every_problem_at_once() {
     let trace = short_trace();
     let controller = FleetController::new(FleetConfig {
